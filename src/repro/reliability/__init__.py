@@ -1,6 +1,6 @@
 """Reliability layer: fault-tolerant, resumable, fault-injectable runs.
 
-Three pieces:
+The pieces:
 
 * :mod:`~repro.reliability.engine` — the :class:`RunEngine` executes each
   experiment cell with a watchdog, bounded seed-bump retry, graceful
@@ -10,15 +10,16 @@ Three pieces:
 * :mod:`~repro.reliability.faults` — seeded, deterministic fault injection
   into the NoC, DRAM, coherence and kernel layers, used to exercise the
   simulator's failure detectors and this layer's recovery paths;
-* :mod:`~repro.reliability.supervisor` / :mod:`~repro.reliability.worker`
-  — the :class:`Supervisor` fans a batch of :class:`CellSpec` cells out
-  over a crash-isolated worker pool (``--jobs``): heartbeat liveness,
-  RSS ceilings, quarantine of cells that kill their workers, and a
-  graceful SIGINT/SIGTERM drain, all feeding the same journal;
-* :mod:`~repro.reliability.pool` — the :class:`LeasePool` exposes the
-  same crash-isolated workers through a per-task lease API with
-  deadline plumbing, built for long-lived callers like the analysis
-  service (:mod:`repro.service`);
+* :mod:`~repro.reliability.pool` / :mod:`~repro.reliability.worker` —
+  the :class:`LeasePool` owns every worker process: crash-isolated
+  workers leased one attempt at a time, with heartbeat liveness, RSS
+  ceilings, deadline plumbing and eager fd release.  The analysis
+  service (:mod:`repro.service`) leases from it directly;
+* :mod:`~repro.reliability.supervisor` — the :class:`Supervisor` is the
+  batch driver over that pool (``--jobs``): it fans a batch of
+  :class:`CellSpec` cells out as leases, quarantines cells that kill
+  their workers, and drains gracefully on SIGINT/SIGTERM, all feeding
+  the same journal through the engine's per-cell bookkeeping;
 * :mod:`~repro.reliability.atomic_io` — the shared kill-9-hardened
   write pattern (fsync temp + atomic rename + ``.bak`` rotation) used
   by the journal, the fuzz triage corpus, and the service result store.

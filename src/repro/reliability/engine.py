@@ -181,6 +181,10 @@ class CellResult:
         """
         return self._metrics
 
+    def to_metrics(self):
+        """Journal metrics round-trip: ``capture_metrics(CellResult(m)) == m``."""
+        return self._metrics
+
     def __repr__(self):
         return (
             f"CellResult(cycles={self.cycles}, instructions={self.instructions})"
@@ -301,6 +305,19 @@ class RunEngine:
             return 0
         return len(record.get("attempts", ()))
 
+    def cached_outcome(self, cell_id):
+        """The ``cached`` outcome of a journaled ok cell under ``--resume``,
+        else None."""
+        if not (self.resume and self.journal is not None):
+            return None
+        record = self.journal.get(cell_id)
+        if record is None or record.get("status") != "ok":
+            return None
+        metrics = record.get("metrics")
+        return CellOutcome(
+            cell_id, "cached", result=CellResult(metrics) if metrics else None
+        )
+
     def run_cell(self, cell_id, fn, base_seed=0):
         """Execute one cell; ``fn(seed, max_cycles, watchdog, faults)``.
 
@@ -309,26 +326,10 @@ class RunEngine:
         degrade gracefully on.  Non-simulation errors (``KeyboardInterrupt``,
         programming bugs outside the ``ReproError`` tree) still propagate.
         """
-        if self.resume and self.journal is not None:
-            record = self.journal.get(cell_id)
-            if record is not None and record.get("status") == "ok":
-                metrics = record.get("metrics")
-                outcome = CellOutcome(
-                    cell_id,
-                    "cached",
-                    result=CellResult(metrics) if metrics else None,
-                )
-                self.outcomes.append(outcome)
-                return outcome
-
-        attempts = []
-        outcome = None
-        attempt_base = self.prior_attempts(cell_id)
-        for attempt in range(self.policy.max_attempts):
-            seed = self.policy.seed_for(base_seed, attempt_base + attempt)
-            max_cycles = self.policy.budget_for(
-                self.max_cycles, attempt_base + attempt
-            )
+        outcome = self.cached_outcome(cell_id)
+        cell = CellAttempts(self, cell_id, base_seed)
+        while outcome is None:
+            _, seed, max_cycles = cell.next_attempt()
             watchdog = (
                 WallClockGuard(self.wall_clock_s)
                 if self.wall_clock_s is not None
@@ -336,11 +337,7 @@ class RunEngine:
             )
             faults = self._faults_for(cell_id)
             started = time.perf_counter()
-            attempt_record = {
-                "seed": seed,
-                "max_cycles": max_cycles,
-                "status": "ok",
-            }
+            error = None
             try:
                 result = fn(
                     seed=seed,
@@ -348,86 +345,23 @@ class RunEngine:
                     watchdog=watchdog,
                     faults=faults,
                 )
-            except ReproError as error:
+            except ReproError as caught:
                 # Only simulation-layer failures are containable; anything
                 # else (a programming bug, KeyboardInterrupt) propagates.
-                attempt_record["status"] = "failed"
-                attempt_record["error_class"] = type(error).__name__
-                attempt_record["error_message"] = str(error)
-                attempt_record["wall_ms"] = int(
-                    1000 * (time.perf_counter() - started)
+                error = caught
+            wall_ms = int(1000 * (time.perf_counter() - started))
+            summary = faults.summary() if faults is not None else None
+            if error is not None:
+                outcome = cell.failed(
+                    seed, max_cycles, wall_ms, summary,
+                    type(error).__name__, str(error),
+                    retryable=self.policy.is_retryable(error),
                 )
-                if faults is not None:
-                    attempt_record["faults"] = faults.summary()
-                attempts.append(attempt_record)
-                if (
-                    self.policy.is_retryable(error)
-                    and attempt < self.policy.max_attempts - 1
-                ):
-                    continue
-                outcome = CellOutcome(
-                    cell_id,
-                    "failed",
-                    error_class=type(error).__name__,
-                    error_message=str(error),
-                    attempts=attempts,
-                )
-                break
             else:
-                attempt_record["wall_ms"] = int(
-                    1000 * (time.perf_counter() - started)
+                outcome = cell.succeeded(
+                    seed, max_cycles, wall_ms, summary,
+                    result, getattr(result, "sanitizer_report", None),
                 )
-                if faults is not None:
-                    attempt_record["faults"] = faults.summary()
-                # A record-mode sanitizer lets the run finish but stamps its
-                # report on the result: violations turn the cell into a
-                # failure (counted against --max-failures), with the full
-                # report preserved in the journal.  Not retryable — an
-                # invariant break is a bug, not a transient.
-                sanitizer_report = getattr(result, "sanitizer_report", None)
-                if sanitizer_report is not None:
-                    attempt_record["sanitizer"] = sanitizer_report
-                violations = (
-                    sanitizer_report["violations"] if sanitizer_report else ()
-                )
-                if violations:
-                    attempt_record["status"] = "failed"
-                    first = violations[0]
-                    attempt_record["error_class"] = first.get(
-                        "error_class", "InvariantViolation"
-                    )
-                    attempt_record["error_message"] = first.get("message", "")
-                    attempts.append(attempt_record)
-                    outcome = CellOutcome(
-                        cell_id,
-                        "failed",
-                        error_class=attempt_record["error_class"],
-                        error_message=(
-                            f"{len(violations)} invariant violation(s); "
-                            f"first: {attempt_record['error_message']}"
-                        ),
-                        attempts=attempts,
-                    )
-                    break
-                attempts.append(attempt_record)
-                outcome = CellOutcome(
-                    cell_id, "ok", result=result, attempts=attempts
-                )
-                break
-
-        if self.journal is not None:
-            record = {
-                "status": "ok" if outcome.ok else "failed",
-                "attempts": attempts,
-            }
-            if outcome.ok:
-                record["cycles"] = outcome.result.cycles
-                record["metrics"] = capture_metrics(outcome.result)
-            else:
-                record["error_class"] = outcome.error_class
-                record["error_message"] = outcome.error_message
-            self.journal.record(cell_id, record)
-
         self.outcomes.append(outcome)
         return outcome
 
@@ -455,3 +389,155 @@ class RunEngine:
 def cell_id_for(suite, app, scheme, consistency, seed):
     """Canonical cell identity used in journals and ``--fault-cells`` globs."""
     return f"{suite}:{app}:{scheme.value}:{consistency.value}:s{seed}"
+
+
+def sanitizer_failure(report):
+    """The one rule for a record-mode sanitizer report.
+
+    A record-mode sanitizer lets the run finish but stamps its report on
+    the result: any violation fails the attempt, and never retryably — an
+    invariant break is a bug, not a transient.  Returns None for a clean
+    or absent report, else ``(error_class, first_message, summary)``: the
+    first violation's class and message for the attempt record, and the
+    ``<n> invariant violation(s); first: ...`` message for the cell.
+    """
+    violations = report["violations"] if report else ()
+    if not violations:
+        return None
+    first = violations[0]
+    message = first.get("message", "")
+    return (
+        first.get("error_class", "InvariantViolation"),
+        message,
+        f"{len(violations)} invariant violation(s); first: {message}",
+    )
+
+
+class CellAttempts:
+    """One cell's attempt sequence and the bookkeeping after each attempt.
+
+    The serial :meth:`RunEngine.run_cell` and the pooled
+    :class:`~repro.reliability.supervisor.Supervisor` both drive a cell
+    through this class.  It picks each attempt's seed and cycle budget
+    (continuing the journaled seed-bump sequence), builds the attempt
+    record, applies the sanitizer rule, decides between retry and a final
+    outcome, and writes the journal — each failed attempt at once, so a
+    crash of the driving process right after cannot lose it.  Serial and
+    parallel journals are therefore identical by construction.
+
+    Each ``succeeded``/``failed``/``crashed`` call records one attempt and
+    returns the cell's final :class:`CellOutcome`, or None when the cell
+    should be retried.
+    """
+
+    def __init__(self, engine, cell_id, base_seed=0):
+        self.engine = engine
+        self.cell_id = cell_id
+        self.base_seed = base_seed
+        self.attempt_base = engine.prior_attempts(cell_id)
+        self.attempts = []  # this session's attempt records
+        self.crashes = 0  # worker deaths attributed to this cell
+
+    def next_attempt(self):
+        """``(attempt_index, seed, max_cycles)`` of the next attempt."""
+        index = self.attempt_base + len(self.attempts)
+        policy = self.engine.policy
+        return (
+            index,
+            policy.seed_for(self.base_seed, index),
+            policy.budget_for(self.engine.max_cycles, index),
+        )
+
+    def succeeded(
+        self, seed, max_cycles, wall_ms, faults, result, sanitizer_report
+    ):
+        """The attempt returned ``result`` (a RunResult or CellResult);
+        ``faults`` is the injector summary or None."""
+        record = _attempt_record(seed, max_cycles, wall_ms, faults)
+        if sanitizer_report is not None:
+            record["sanitizer"] = sanitizer_report
+        violation = sanitizer_failure(sanitizer_report)
+        if violation is not None:
+            error_class, first, summary = violation
+            return self._failed(record, error_class, first, summary, False)
+        self.attempts.append(record)
+        if self.engine.journal is not None:
+            self.engine.journal.record(self.cell_id, {
+                "status": "ok",
+                "attempts": [record],
+                "cycles": result.cycles,
+                "metrics": capture_metrics(result),
+            })
+        return CellOutcome(
+            self.cell_id, "ok", result=result, attempts=self.attempts
+        )
+
+    def failed(
+        self, seed, max_cycles, wall_ms, faults, error_class, error_message,
+        retryable,
+    ):
+        """The attempt raised (or reported) ``error_class``."""
+        record = _attempt_record(seed, max_cycles, wall_ms, faults)
+        return self._failed(
+            record, error_class, error_message, error_message, retryable
+        )
+
+    def crashed(self, seed, max_cycles, wall_ms, error, quarantine_after):
+        """The worker died with the attempt in flight (``error`` is the
+        pool's :class:`~repro.errors.WorkerCrashError`).  A crash always
+        earns a retry while attempts remain, but the ``quarantine_after``-th
+        crash quarantines the cell as ``poisoned``."""
+        self.crashes += 1
+        record = _attempt_record(seed, max_cycles, wall_ms, None)
+        error_class, error_message = type(error).__name__, str(error)
+        if self.crashes < quarantine_after:
+            return self._failed(
+                record, error_class, error_message, error_message, True
+            )
+        message = (
+            f"quarantined after {self.crashes} worker crashes; "
+            f"last: {error_message}"
+        )
+        return self._failed(
+            record, error_class, error_message, message, False,
+            status="poisoned",
+        )
+
+    def _failed(self, record, error_class, error_message, cell_message,
+                retryable, status="failed"):
+        record.update(
+            status="failed", error_class=error_class,
+            error_message=error_message,
+        )
+        self.attempts.append(record)
+        final = not (
+            retryable and len(self.attempts) < self.engine.policy.max_attempts
+        )
+        self._journal({
+            "status": status,
+            "error_class": error_class,
+            "error_message": cell_message if final else error_message,
+            "attempts": [record],
+        })
+        if not final:
+            return None
+        return CellOutcome(
+            self.cell_id, status, error_class=error_class,
+            error_message=cell_message, attempts=self.attempts,
+        )
+
+    def _journal(self, record):
+        if self.engine.journal is not None:
+            self.engine.journal.record(self.cell_id, record)
+
+
+def _attempt_record(seed, max_cycles, wall_ms, faults):
+    record = {
+        "seed": seed,
+        "max_cycles": max_cycles,
+        "status": "ok",
+        "wall_ms": wall_ms,
+    }
+    if faults is not None:
+        record["faults"] = faults
+    return record

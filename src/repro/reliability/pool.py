@@ -1,42 +1,51 @@
-"""Long-lived crash-isolated worker pool with a per-task *lease* API.
+"""Crash-isolated worker pool: the one place that owns worker processes.
 
-The batch :class:`~repro.reliability.supervisor.Supervisor` owns a whole
-sweep: it takes a list of cell specs, runs its own retry/quarantine
-policy, and tears the pool down when the batch ends.  A serving process
-(:mod:`repro.service`) needs the opposite shape — a pool that outlives
-any one request, where each unit of work is *leased* individually and
-the caller owns policy:
+Each unit of work is *leased* individually:
+:meth:`LeasePool.submit` takes one duck-typed cell spec (anything with
+``.cell_id`` and ``.run(seed, max_cycles, watchdog, faults,
+heartbeat=None)``) and returns a :class:`concurrent.futures.Future` that
+resolves to the worker's :class:`~repro.reliability.worker.AttemptResult`
+— or raises :class:`~repro.errors.WorkerCrashError` if the worker died,
+stalled past its heartbeat deadline, breached the RSS ceiling, or blew
+its per-lease deadline.  A queued lease can be withdrawn with
+``future.cancel()``; once a worker has picked it up the future is
+*running*, ``cancel()`` returns False, and its result still arrives.
 
-* :meth:`LeasePool.submit` takes one duck-typed cell spec (anything with
-  ``.cell_id`` and ``.run(seed, max_cycles, watchdog, faults,
-  heartbeat=None)``) and returns a :class:`concurrent.futures.Future`
-  that resolves to the worker's
-  :class:`~repro.reliability.worker.AttemptResult` — or raises
-  :class:`~repro.errors.WorkerCrashError` if the worker died, stalled
-  past its heartbeat deadline, breached the RSS ceiling, or blew its
-  per-lease deadline;
-* **deadline plumbing**: a per-lease wall-clock budget is propagated
-  *into* the worker as a kernel watchdog
+Supervision, per worker (one thread, woken by results, worker deaths,
+``submit()`` and ``close()``, and otherwise every ``poll_interval``):
+
+* **heartbeats** — workers stamp a shared array from the kernel's
+  heartbeat hook every ``WATCHDOG_PERIOD`` simulated cycles; a busy
+  worker whose stamp goes stale past ``heartbeat_timeout`` seconds is
+  SIGKILLed;
+* **RSS ceiling** — ``max_rss`` is enforced twice: ``RLIMIT_AS`` inside
+  the worker (allocations fail with a containable ``MemoryError``) and
+  pool-side ``/proc/<pid>/statm`` polling (SIGKILL past the ceiling, for
+  leaks the rlimit cannot see);
+* **deadlines** — a per-lease wall-clock budget is propagated *into* the
+  worker as a kernel watchdog
   (:class:`~repro.reliability.engine.WallClockGuard` — the run fails
   with a retryable ``SimTimeoutError``) and additionally enforced
-  pool-side with a grace period — a worker wedged so hard its watchdog
-  never fires is SIGKILLed, so a lease can never hang its caller;
-* supervision is the same story as the batch supervisor (shared
-  heartbeat array, ``/proc`` RSS polling, sentinel-based death
-  detection), and worker handles are **released eagerly** — pipes and
-  process handles are closed the moment a worker is reaped, never left
-  to garbage-collector timing (see ``_Worker.release``), because a
-  serving process runs for days and its fd table is a budget.
+  pool-side with a grace period, so a lease can never hang its caller;
+* **death** — a worker that exits or is killed is detected via its
+  sentinel, its in-flight lease fails, and a fresh worker replaces it.
+  Worker handles are **released eagerly** — pipes and process handles
+  are closed the moment a worker is reaped, never left to
+  garbage-collector timing (see ``_Worker.release``), because a serving
+  process runs for days and its fd table is a budget.
 
-Retry, backoff, caching, and quarantine deliberately live in the caller
-(:mod:`repro.service.server`): the pool hands out honest failures fast
-and keeps itself replenished; policy belongs to the layer that knows the
-request's deadline and client.
+Retry, backoff, caching, journaling and quarantine deliberately live in
+the callers: the batch driver
+(:class:`~repro.reliability.supervisor.Supervisor`) and the analysis
+service (:mod:`repro.service.server`).  The pool hands out honest
+failures fast and keeps itself replenished.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
 import threading
 import time
 from collections import deque
@@ -44,10 +53,74 @@ from concurrent.futures import Future
 from multiprocessing.connection import wait as _conn_wait
 
 from ..errors import ReproError, WorkerCrashError
-from .supervisor import _Worker, _death_detail, _rss_bytes
 from .worker import AttemptRequest, worker_main
 
 __all__ = ["LeasePool", "PoolClosedError"]
+
+
+def _rss_bytes(pid):
+    """Resident set size of ``pid`` in bytes, or None where /proc is absent."""
+    try:
+        with open(f"/proc/{pid}/statm") as handle:
+            fields = handle.read().split()
+        return int(fields[1]) * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _death_detail(process):
+    code = process.exitcode
+    if code is None:
+        return "vanished"
+    if code < 0:
+        try:
+            name = signal.Signals(-code).name
+        except ValueError:
+            name = f"signal {-code}"
+        return f"killed by {name}"
+    return f"exit code {code}"
+
+
+class _Worker:
+    """Parent-side handle for one pool worker."""
+
+    __slots__ = (
+        "worker_id", "process", "task_conn", "result_conn", "dispatched_at",
+        "released",
+    )
+
+    def __init__(self, worker_id, process, task_conn, result_conn):
+        self.worker_id = worker_id
+        self.process = process
+        self.task_conn = task_conn
+        self.result_conn = result_conn
+        self.dispatched_at = 0.0
+        self.released = False  # pipes + process handle freed
+
+    def release(self):
+        """Free this worker's parent-side fds *now*, not at GC time.
+
+        Three fds per worker (task pipe, result pipe, process sentinel)
+        would otherwise linger on the dropped handle until the garbage
+        collector happens to run its finalizers — which a long-lived
+        serving process (:mod:`repro.service`) cannot afford: a cell
+        that quarantines 50 times must not grow the fd table.  Safe to
+        call twice; the process must already be dead/joined.
+        """
+        if self.released:
+            return
+        self.released = True
+        for conn in (self.task_conn, self.result_conn):
+            try:
+                conn.close()
+            except OSError:
+                pass
+        try:
+            self.process.close()
+        except ValueError:
+            # Still alive (close() refuses): leave the handle for the
+            # finalizer rather than leak a zombie.
+            pass
 
 
 class PoolClosedError(ReproError):
@@ -75,7 +148,6 @@ class LeasePool:
         max_rss=None,
         heartbeat_timeout=60.0,
         poll_interval=0.02,
-        start_method=None,
         deadline_grace=1.0,
     ):
         self.workers = max(1, int(workers))
@@ -83,10 +155,6 @@ class LeasePool:
         self.heartbeat_timeout = heartbeat_timeout
         self.poll_interval = poll_interval
         self.deadline_grace = deadline_grace
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self.start_method = start_method
         self.stats = {
             "workers_spawned": 0,
             "workers_crashed": 0,
@@ -102,7 +170,9 @@ class LeasePool:
         self._queue = deque()
         self._lock = threading.Lock()
         self._thread = None
+        self._wake_r = self._wake_w = -1  # self-pipe waking the supervisor
         self._closing = False
+        self._kill_on_close = False
         self._started = False
 
     # ------------------------------------------------------------- lifecycle
@@ -114,7 +184,14 @@ class LeasePool:
                 return self
             self._started = True
             self._closing = False
-        self._ctx = multiprocessing.get_context(self.start_method)
+            self._kill_on_close = False
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
         self._heartbeats = self._ctx.Array("d", self.workers, lock=False)
         self._pool = [self._spawn(i) for i in range(self.workers)]
         self._thread = threading.Thread(
@@ -136,15 +213,17 @@ class LeasePool:
                 self._started = False
                 return
             self._closing = True
-        if not kill:
-            deadline = time.monotonic() + timeout
-            while time.monotonic() < deadline:
-                with self._lock:
-                    if not self._inflight:
-                        break
-                time.sleep(self.poll_interval)
+            self._kill_on_close = kill
+            self._wake()
         if self._thread is not None:
+            # The supervisor exits once nothing is in flight, or at once
+            # under kill; past the timeout it is told to stop regardless.
             self._thread.join(timeout=timeout)
+            if self._thread.is_alive():
+                with self._lock:
+                    self._kill_on_close = True
+                    self._wake()
+                self._thread.join()
             self._thread = None
         with self._lock:
             stranded = list(self._queue)
@@ -153,6 +232,9 @@ class LeasePool:
             self._inflight.clear()
             pool, self._pool = self._pool, []
             self._started = False
+            os.close(self._wake_r)
+            os.close(self._wake_w)
+            self._wake_r = self._wake_w = -1
         for lease in stranded:
             self._fail(lease, PoolClosedError("pool closed before dispatch"))
         for worker in pool:
@@ -190,7 +272,8 @@ class LeasePool:
         pool-side backstop past which the worker is killed.  When only a
         deadline is given the watchdog budget is derived from it, so the
         soft (in-worker, retryable timeout) path always fires before the
-        hard (SIGKILL) one.
+        hard (SIGKILL) one.  When a worker picks the lease up, the
+        future gets a ``dispatched_at`` attribute (``time.monotonic()``).
         """
         future = Future()
         if deadline is not None and wall_clock_s is None:
@@ -208,6 +291,7 @@ class LeasePool:
                 future.set_exception(PoolClosedError("pool is not running"))
                 return future
             self._queue.append(_Lease(request, future, deadline))
+            self._wake()
         return future
 
     @property
@@ -250,7 +334,15 @@ class LeasePool:
 
     # ----------------------------------------------------------- supervision
 
+    def _wake(self):
+        """Wake the supervisor out of its wait (caller holds the lock)."""
+        try:
+            os.write(self._wake_w, b"\0")
+        except OSError:
+            pass  # pipe full: a wake-up is already pending
+
     def _spawn(self, worker_id):
+        # Pipe(duplex=False) returns (receive end, send end).
         task_recv, task_send = self._ctx.Pipe(duplex=False)
         result_recv, result_send = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
@@ -292,11 +384,13 @@ class LeasePool:
     def _supervise(self):
         while True:
             self._dispatch()
-            self._pump()  # paces the loop (poll_interval wait)
+            self._pump()  # paces the loop (woken, or poll_interval)
             self._reap()
             self._enforce()
             with self._lock:
-                if self._closing and not self._inflight:
+                if self._closing and (
+                    self._kill_on_close or not self._inflight
+                ):
                     break
 
     def _dispatch(self):
@@ -315,21 +409,23 @@ class LeasePool:
                 if worker is None:
                     return
                 lease = self._queue.popleft()
-                if lease.future.cancelled():
-                    continue
-                if (
-                    lease.deadline is not None
-                    and time.monotonic() >= lease.deadline
+                # Marking the future running makes cancel() refuse from
+                # here on; a requeued lease (dead idle worker) already is.
+                if not (
+                    lease.future.running()
+                    or lease.future.set_running_or_notify_cancel()
                 ):
+                    continue  # withdrawn by its caller while queued
+                now = time.monotonic()
+                if lease.deadline is not None and now >= lease.deadline:
                     expired = lease
                     lease = None
                 else:
                     lease.worker_id = worker.worker_id
+                    lease.future.dispatched_at = now
                     self._inflight[worker.worker_id] = lease
-                    now = time.monotonic()
                     self._heartbeats[worker.worker_id] = now
                     worker.dispatched_at = now
-                    worker.request = lease.request
             if lease is None:
                 self._fail(
                     expired,
@@ -346,7 +442,6 @@ class LeasePool:
                 # at the front and let _reap replace the worker.
                 with self._lock:
                     self._inflight.pop(worker.worker_id, None)
-                    worker.request = None
                     lease.worker_id = None
                     self._queue.appendleft(lease)
                 return
@@ -355,10 +450,11 @@ class LeasePool:
         with self._lock:
             live = [w for w in self._pool if not w.released]
         by_conn = {w.result_conn: w for w in live}
-        sentinels = {w.process.sentinel: w for w in live}
+        sentinels = [w.process.sentinel for w in live]
         try:
             ready = _conn_wait(
-                list(by_conn) + list(sentinels), timeout=self.poll_interval
+                list(by_conn) + sentinels + [self._wake_r],
+                timeout=self.poll_interval,
             )
         except OSError:
             return
@@ -366,6 +462,11 @@ class LeasePool:
             worker = by_conn.get(item)
             if worker is not None:
                 self._recv(worker)
+            elif item == self._wake_r:
+                try:
+                    os.read(self._wake_r, 4096)
+                except OSError:
+                    pass
 
     def _recv(self, worker):
         try:
@@ -376,7 +477,6 @@ class LeasePool:
             return  # death: _reap attributes the in-flight lease
         with self._lock:
             lease = self._inflight.pop(worker.worker_id, None)
-            worker.request = None
         if lease is not None:
             self._complete(lease, payload)
 
@@ -395,9 +495,17 @@ class LeasePool:
             )
             with self._lock:
                 lease = self._inflight.pop(worker.worker_id, None)
-                worker.request = None
             self._kill(worker)
             worker.release()
+            # Replace the worker before failing its lease, so a caller
+            # that hears of the crash finds the pool already whole.
+            with self._lock:
+                if (
+                    not self._closing
+                    and index < len(self._pool)
+                    and self._pool[index] is worker
+                ):
+                    self._pool[index] = self._spawn(worker.worker_id)
             if lease is not None:
                 self.stats["workers_crashed"] += 1
                 self._fail(
@@ -407,13 +515,6 @@ class LeasePool:
                         cell_id=lease.request.spec.cell_id,
                     ),
                 )
-            with self._lock:
-                if (
-                    not self._closing
-                    and index < len(self._pool)
-                    and self._pool[index] is worker
-                ):
-                    self._pool[index] = self._spawn(worker.worker_id)
 
     def _enforce(self):
         now = time.monotonic()
@@ -467,7 +568,6 @@ class LeasePool:
             self.stats["workers_crashed"] += 1
             with self._lock:
                 self._inflight.pop(worker.worker_id, None)
-                worker.request = None
             self._kill(worker)
             self._fail(
                 lease,

@@ -1,28 +1,16 @@
-"""Supervised parallel sweep execution: a crash-isolated worker pool.
+"""Supervised parallel sweeps: a batch driver over the lease pool.
 
-The :class:`Supervisor` runs a batch of experiment cells across ``jobs``
-worker processes (:mod:`repro.reliability.worker`) while the existing
-:class:`~repro.reliability.RunEngine` keeps owning policy and persistence:
-retry seeds/budgets come from the engine's
-:class:`~repro.reliability.RetryPolicy`, outcomes land in the engine's
-:class:`~repro.reliability.RunJournal` (written only by this parent
-process), and failures feed the same ``--max-failures`` accounting and
-gap rendering the serial path uses.
-
-Supervision, per worker:
-
-* **heartbeats** — workers stamp a shared array from the kernel's
-  heartbeat hook every ``WATCHDOG_PERIOD`` simulated cycles; a busy
-  worker whose stamp goes stale past ``heartbeat_timeout`` seconds is
-  hard-killed (SIGKILL) and its cell journaled as a failed attempt;
-* **RSS ceiling** — ``max_rss`` is enforced twice: ``RLIMIT_AS`` inside
-  the worker (allocations fail with a containable ``MemoryError``) and
-  supervisor-side ``/proc/<pid>/statm`` polling (SIGKILL past the
-  ceiling, for leaks the rlimit cannot see);
-* **death** — a worker that exits or is killed by a signal is detected
-  via its sentinel; its in-flight cell becomes a journaled
-  :class:`~repro.errors.WorkerCrashError` attempt and the pool is
-  replenished with a fresh worker.
+The :class:`Supervisor` runs a batch of experiment cells on a
+:class:`~repro.reliability.pool.LeasePool` of ``jobs`` crash-isolated
+workers, while the :class:`~repro.reliability.RunEngine` keeps owning
+policy and persistence: seeds and budgets come from the engine's
+:class:`~repro.reliability.RetryPolicy`, every attempt goes through the
+same :class:`~repro.reliability.engine.CellAttempts` bookkeeping the
+serial path uses, and outcomes land in the engine's
+:class:`~repro.reliability.RunJournal`.  Worker supervision (heartbeats,
+RSS ceiling, death detection, fd release) lives in the pool; the driver
+only submits one lease per attempt and settles the lease futures from the
+calling thread, so every journal write happens on that thread.
 
 A crashed cell re-enters the normal seed-bump retry sequence — the
 attempt index continues from the journaled count, never restarts — but a
@@ -31,117 +19,36 @@ cell that kills its worker :data:`QUARANTINE_CRASHES` times is
 like any other degraded cell, so one poisonous cell cannot chew through
 the whole pool.
 
-SIGINT/SIGTERM trigger a **graceful drain**: dispatch stops, in-flight
-cells finish (still under heartbeat/wall-clock supervision), the journal
-is flushed, and ``KeyboardInterrupt`` propagates — Ctrl-C never loses
+SIGINT/SIGTERM trigger a **graceful drain**: queued leases are withdrawn,
+in-flight cells finish (still under pool supervision), the journal is
+flushed, and ``KeyboardInterrupt`` propagates — Ctrl-C never loses
 completed work, and ``--resume`` picks up exactly where the drain
 stopped.  A second signal aborts hard (workers SIGKILLed, journal kept).
 
-Determinism: cells are dispatched in spec order, retries derive only
-from per-cell attempt indices, and results are merged back in spec
-order, so a parallel sweep produces the same journal contents (modulo
-wall-clock timing fields), figures, and tables as ``--jobs 1``.
+Determinism: cells are submitted in spec order, retries derive only from
+per-cell attempt indices, and results are merged back in spec order, so a
+parallel sweep produces the same journal contents (modulo wall-clock
+timing fields), figures, and tables as ``--jobs 1``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
+import queue
 import signal
 import sys
 import time
-from collections import deque
-from multiprocessing.connection import wait as _conn_wait
 
 from ..errors import WorkerCrashError
-from .engine import CellOutcome, CellResult
-from .worker import AttemptRequest, worker_main
+from .engine import CellAttempts, CellResult
+from .pool import LeasePool
 
-#: Worker deaths after which a cell is quarantined instead of retried.
+#: Worker deaths after which a cell (or service request) is quarantined
+#: instead of retried.
 QUARANTINE_CRASHES = 2
 
-
-def _rss_bytes(pid):
-    """Resident set size of ``pid`` in bytes, or None where /proc is absent."""
-    try:
-        with open(f"/proc/{pid}/statm") as handle:
-            fields = handle.read().split()
-        return int(fields[1]) * os.sysconf("SC_PAGE_SIZE")
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-def _death_detail(process):
-    code = process.exitcode
-    if code is None:
-        return "vanished"
-    if code < 0:
-        try:
-            name = signal.Signals(-code).name
-        except ValueError:
-            name = f"signal {-code}"
-        return f"killed by {name}"
-    return f"exit code {code}"
-
-
-class _Worker:
-    """Parent-side handle for one pool worker."""
-
-    __slots__ = (
-        "worker_id", "process", "task_conn", "result_conn",
-        "request", "dispatched_at", "released",
-    )
-
-    def __init__(self, worker_id, process, task_conn, result_conn):
-        self.worker_id = worker_id
-        self.process = process
-        self.task_conn = task_conn
-        self.result_conn = result_conn
-        self.request = None  # in-flight AttemptRequest
-        self.dispatched_at = 0.0
-        self.released = False  # pipes + process handle freed
-
-    @property
-    def busy(self):
-        return self.request is not None
-
-    def release(self):
-        """Free this worker's parent-side fds *now*, not at GC time.
-
-        Three fds per worker (task pipe, result pipe, process sentinel)
-        would otherwise linger on the dropped handle until the garbage
-        collector happens to run its finalizers — which a long-lived
-        serving process (:mod:`repro.service`) cannot afford: a cell
-        that quarantines 50 times must not grow the fd table.  Safe to
-        call twice; the process must already be dead/joined.
-        """
-        if self.released:
-            return
-        self.released = True
-        for conn in (self.task_conn, self.result_conn):
-            try:
-                conn.close()
-            except OSError:
-                pass
-        try:
-            self.process.close()
-        except ValueError:
-            # Still alive (close() refuses): leave the handle for the
-            # finalizer rather than leak a zombie.
-            pass
-
-
-class _CellState:
-    """Supervisor-side bookkeeping for one not-yet-finished cell."""
-
-    __slots__ = ("spec", "cell_id", "attempt_base", "attempts", "crashes")
-
-    def __init__(self, spec, attempt_base):
-        self.spec = spec
-        self.cell_id = spec.cell_id
-        self.attempt_base = attempt_base
-        self.attempts = []  # this session's attempt records
-        self.crashes = 0  # worker deaths attributed to this cell
+#: Pool counters the driver reports as its own.
+_POOL_STATS = ("workers_spawned", "workers_crashed", "heartbeat_kills",
+               "rss_kills")
 
 
 class Supervisor:
@@ -153,37 +60,24 @@ class Supervisor:
         max_rss=None,
         heartbeat_timeout=60.0,
         poll_interval=0.05,
-        start_method=None,
         quarantine_crashes=QUARANTINE_CRASHES,
     ):
         self.jobs = max(1, int(jobs))
         self.max_rss = max_rss
         self.heartbeat_timeout = heartbeat_timeout
         self.poll_interval = poll_interval
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self.start_method = start_method
         self.quarantine_crashes = quarantine_crashes
         #: Lifecycle counters, exposed for tests and reporting.
-        self.stats = {
-            "workers_spawned": 0,
-            "workers_crashed": 0,
-            "heartbeat_kills": 0,
-            "rss_kills": 0,
-            "cells_quarantined": 0,
-        }
+        self.stats = dict.fromkeys(_POOL_STATS + ("cells_quarantined",), 0)
         self.drain_requested = False
         self.hard_abort = False
         self.drained = False
-        self._ctx = None
-        self._heartbeats = None
         self._old_handlers = {}
 
     # --------------------------------------------------------------- signals
 
     def request_drain(self):
-        """Stop dispatching; finish in-flight cells; flush and stop.
+        """Withdraw queued cells; finish in-flight cells; flush and stop.
 
         Idempotent; the second request (second Ctrl-C) escalates to a
         hard abort.  Safe to call from a signal handler or another
@@ -216,50 +110,6 @@ class Supervisor:
             signal.signal(sig, handler)
         self._old_handlers = {}
 
-    # --------------------------------------------------------------- workers
-
-    def _spawn_worker(self, worker_id):
-        # Pipe(duplex=False) returns (receive end, send end).
-        task_recv, task_send = self._ctx.Pipe(duplex=False)
-        result_recv, result_send = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=worker_main,
-            args=(
-                worker_id, task_recv, result_send, self._heartbeats,
-                self.max_rss,
-            ),
-            name=f"sweep-worker-{worker_id}",
-            daemon=True,
-        )
-        process.start()
-        task_recv.close()
-        result_send.close()
-        self.stats["workers_spawned"] += 1
-        self._heartbeats[worker_id] = time.monotonic()
-        return _Worker(worker_id, process, task_send, result_recv)
-
-    def _shutdown_worker(self, worker, kill=False):
-        if worker.released:
-            return
-        try:
-            if not kill and worker.process.is_alive():
-                worker.task_conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-        worker.process.join(timeout=0.2 if kill else 2.0)
-        if worker.process.is_alive():
-            worker.process.kill()
-            worker.process.join(timeout=2.0)
-        worker.release()
-
-    def _kill_worker(self, worker):
-        if worker.process.is_alive():
-            try:
-                worker.process.kill()
-            except OSError:
-                pass
-        worker.process.join(timeout=2.0)
-
     # ------------------------------------------------------------- execution
 
     def run_specs(self, engine, specs):
@@ -267,26 +117,23 @@ class Supervisor:
 
         The engine provides policy (seeds, budgets, retryability), the
         journal, resume semantics, and fault-schedule scoping; this
-        method owns dispatch, supervision, and deterministic merging.
-        Raises ``KeyboardInterrupt`` after a drain (completed work is
-        journaled) and propagates nothing else from cell failures.
+        method owns dispatch and deterministic merging.  Raises
+        ``KeyboardInterrupt`` after a drain (completed work is journaled)
+        and propagates nothing else from cell failures.
         """
-        order = []
-        states = {}
+        order = [spec.cell_id for spec in specs]
         outcomes = {}
-        pending = deque()
+        cells = []
         for spec in specs:
-            cell_id = spec.cell_id
-            order.append(cell_id)
-            cached = self._cached_outcome(engine, cell_id)
+            cached = engine.cached_outcome(spec.cell_id)
             if cached is not None:
-                outcomes[cell_id] = cached
-                continue
-            states[cell_id] = _CellState(spec, engine.prior_attempts(cell_id))
-            pending.append(cell_id)
+                outcomes[spec.cell_id] = cached
+            else:
+                cell = CellAttempts(engine, spec.cell_id, spec.seed)
+                cells.append((spec, cell))
 
-        if states:
-            self._execute(engine, states, pending, outcomes)
+        if cells:
+            self._execute(engine, cells, outcomes)
 
         completed = [outcomes[cid] for cid in order if cid in outcomes]
         engine.outcomes.extend(completed)
@@ -297,343 +144,87 @@ class Supervisor:
             )
         return [outcomes[cid] for cid in order]
 
-    def _cached_outcome(self, engine, cell_id):
-        if not (engine.resume and engine.journal is not None):
-            return None
-        record = engine.journal.get(cell_id)
-        if record is None or record.get("status") != "ok":
-            return None
-        metrics = record.get("metrics")
-        return CellOutcome(
-            cell_id,
-            "cached",
-            result=CellResult(metrics) if metrics else None,
-        )
-
-    def _execute(self, engine, states, pending, outcomes):
+    def _execute(self, engine, cells, outcomes):
         self.drain_requested = False
         self.hard_abort = False
         self.drained = False
-        self._ctx = multiprocessing.get_context(self.start_method)
-        pool_size = min(self.jobs, max(1, len(states)))
-        self._heartbeats = self._ctx.Array("d", pool_size, lock=False)
-        workers = []
+        pool = LeasePool(
+            workers=min(self.jobs, len(cells)),
+            max_rss=self.max_rss,
+            heartbeat_timeout=self.heartbeat_timeout,
+            poll_interval=self.poll_interval,
+        )
+        settled = queue.SimpleQueue()  # futures, in completion order
+        leases = {}  # future -> (spec, CellAttempts, seed, max_cycles)
+
+        def submit(spec, cell):
+            index, seed, max_cycles = cell.next_attempt()
+            future = pool.submit(
+                spec,
+                seed=seed,
+                max_cycles=max_cycles,
+                wall_clock_s=engine.wall_clock_s,
+                attempt_index=index,
+                schedule=engine.schedule_for(cell.cell_id),
+            )
+            leases[future] = (spec, cell, seed, max_cycles)
+            future.add_done_callback(settled.put)
+
         self._install_signal_handlers()
         try:
-            workers[:] = [self._spawn_worker(i) for i in range(pool_size)]
-            remaining = set(states)
-            while remaining - set(outcomes):
-                if self.hard_abort:
-                    break
-                self._dispatch(engine, workers, states, pending)
-                if self.drain_requested and not any(
-                    w.busy for w in workers
-                ):
-                    self.drained = True
-                    break
-                self._pump_results(
-                    engine, workers, states, pending, outcomes
-                )
-                self._reap_dead(engine, workers, states, pending, outcomes)
-                self._enforce_deadlines(
-                    engine, workers, states, pending, outcomes
-                )
+            pool.start()
+            for spec, cell in cells:
+                submit(spec, cell)
+            withdrawn = False
+            while leases and not self.hard_abort:
+                if self.drain_requested and not withdrawn:
+                    withdrawn = True
+                    for future in list(leases):
+                        if future.cancel():
+                            del leases[future]
+                try:
+                    future = settled.get(timeout=self.poll_interval)
+                except queue.Empty:
+                    continue
+                if future not in leases:
+                    continue  # withdrawn by the drain
+                spec, cell, seed, max_cycles = leases.pop(future)
+                outcome = self._settle(cell, future, seed, max_cycles)
+                if outcome is not None:
+                    outcomes[cell.cell_id] = outcome
+                elif not self.drain_requested:
+                    submit(spec, cell)
         finally:
-            for worker in workers:
-                self._shutdown_worker(worker, kill=self.hard_abort)
+            pool.close(kill=True)
+            for key in _POOL_STATS:
+                self.stats[key] += pool.stats[key]
             self._restore_signal_handlers()
-            self._heartbeats = None
         if self.drain_requested:
             self.drained = True
 
-    def _dispatch(self, engine, workers, states, pending):
-        if self.drain_requested:
-            return
-        for worker in workers:
-            if not pending:
-                return
-            if worker.released or worker.busy or not worker.process.is_alive():
-                continue
-            cell_id = pending.popleft()
-            state = states[cell_id]
-            attempt_index = state.attempt_base + len(state.attempts)
-            request = AttemptRequest(
-                spec=state.spec,
-                attempt_index=attempt_index,
-                seed=engine.policy.seed_for(state.spec.seed, attempt_index),
-                max_cycles=engine.policy.budget_for(
-                    engine.max_cycles, attempt_index
-                ),
-                wall_clock_s=engine.wall_clock_s,
-                schedule=engine.schedule_for(cell_id),
-            )
-            now = time.monotonic()
-            self._heartbeats[worker.worker_id] = now
-            worker.dispatched_at = now
-            worker.request = request
-            try:
-                worker.task_conn.send(request)
-            except (BrokenPipeError, OSError):
-                # Worker died while idle; not the cell's fault — requeue
-                # at the front without consuming an attempt, and let
-                # _reap_dead replace the worker.
-                worker.request = None
-                pending.appendleft(cell_id)
-                return
-
-    def _pump_results(self, engine, workers, states, pending, outcomes):
-        live = [w for w in workers if not w.released]
-        by_conn = {w.result_conn: w for w in live}
-        sentinels = {w.process.sentinel: w for w in live}
+    def _settle(self, cell, future, seed, max_cycles):
+        """Feed one finished lease to the cell's bookkeeping; returns the
+        final outcome, or None when the cell should be retried."""
         try:
-            ready = _conn_wait(
-                list(by_conn) + list(sentinels), timeout=self.poll_interval
+            payload = future.result()
+        except WorkerCrashError as error:
+            wall_ms = int(1000 * (time.monotonic() - future.dispatched_at))
+            outcome = cell.crashed(
+                seed, max_cycles, wall_ms, error, self.quarantine_crashes
             )
-        except OSError:
-            return
-        for item in ready:
-            worker = by_conn.get(item)
-            if worker is None:
-                continue  # sentinel: handled by _reap_dead
-            self._recv_result(engine, worker, states, pending, outcomes)
-
-    def _recv_result(self, engine, worker, states, pending, outcomes):
-        try:
-            if not worker.result_conn.poll():
-                return
-            payload = worker.result_conn.recv()
-        except (EOFError, OSError):
-            return  # death; _reap_dead attributes the in-flight cell
-        if worker.request is None or payload.cell_id not in states:
-            return  # stale message from a worker already written off
-        worker.request = None
-        state = states[payload.cell_id]
-        self._complete_attempt(engine, state, payload, pending, outcomes)
-
-    def _reap_dead(self, engine, workers, states, pending, outcomes):
-        for index, worker in enumerate(workers):
-            if worker.released or worker.process.is_alive():
-                continue
-            # The worker may have finished its cell and died afterwards
-            # (or been killed mid-send): drain any complete payload first.
-            self._recv_result(engine, worker, states, pending, outcomes)
-            if worker.busy:
-                self.stats["workers_crashed"] += 1
-                detail = _death_detail(worker.process)
-                self._crash_attempt(
-                    engine, worker, "signal" if (worker.process.exitcode or 0) < 0
-                    else "exit", detail, states, pending, outcomes,
-                )
-            self._kill_worker(worker)
-            # Release pipes and the process handle immediately — a
-            # quarantining cell churns through workers, and fds must not
-            # accumulate until process exit (regression:
-            # tests/reliability/test_pool.py::test_no_fd_growth_across_quarantines).
-            worker.release()
-            if not (self.drain_requested or self.hard_abort):
-                workers[index] = self._spawn_worker(worker.worker_id)
-
-    def _enforce_deadlines(self, engine, workers, states, pending, outcomes):
-        now = time.monotonic()
-        for worker in workers:
-            if not worker.busy or not worker.process.is_alive():
-                continue
-            last_beat = max(
-                self._heartbeats[worker.worker_id], worker.dispatched_at
-            )
-            if (
-                self.heartbeat_timeout is not None
-                and now - last_beat > self.heartbeat_timeout
-            ):
-                self.stats["heartbeat_kills"] += 1
-                self._kill_worker(worker)
-                self._crash_attempt(
-                    engine, worker, "heartbeat",
-                    f"no heartbeat for {now - last_beat:.1f}s "
-                    f"(deadline {self.heartbeat_timeout:.1f}s)",
-                    states, pending, outcomes,
-                )
-                continue
-            if self.max_rss is not None:
-                rss = _rss_bytes(worker.process.pid)
-                if rss is not None and rss > self.max_rss:
-                    self.stats["rss_kills"] += 1
-                    self._kill_worker(worker)
-                    self._crash_attempt(
-                        engine, worker, "rss",
-                        f"RSS {rss} exceeds ceiling {self.max_rss}",
-                        states, pending, outcomes,
-                    )
-
-    # ------------------------------------------------- attempt bookkeeping
-
-    def _complete_attempt(self, engine, state, payload, pending, outcomes):
-        """An attempt ran to completion in a worker (ok or failed)."""
-        record = {
-            "seed": payload.seed,
-            "max_cycles": payload.max_cycles,
-            "status": payload.status,
-            "wall_ms": payload.wall_ms,
-        }
-        if payload.faults is not None:
-            record["faults"] = payload.faults
+            if outcome is not None and outcome.status == "poisoned":
+                self.stats["cells_quarantined"] += 1
+            return outcome
         if payload.status == "ok":
-            if payload.sanitizer_report is not None:
-                record["sanitizer"] = payload.sanitizer_report
-            violations = (
-                payload.sanitizer_report["violations"]
-                if payload.sanitizer_report
-                else ()
+            return cell.succeeded(
+                payload.seed, payload.max_cycles, payload.wall_ms,
+                payload.faults, CellResult(payload.metrics),
+                payload.sanitizer_report,
             )
-            if violations:
-                # Mirror the serial engine: a record-mode sanitizer report
-                # fails the cell, without retry.
-                first = violations[0]
-                record["status"] = "failed"
-                record["error_class"] = first.get(
-                    "error_class", "InvariantViolation"
-                )
-                record["error_message"] = first.get("message", "")
-                state.attempts.append(record)
-                self._journal_failed_attempt(engine, state, record)
-                self._finalize_failed(
-                    engine, state, outcomes,
-                    error_class=record["error_class"],
-                    error_message=(
-                        f"{len(violations)} invariant violation(s); "
-                        f"first: {record['error_message']}"
-                    ),
-                )
-                return
-            state.attempts.append(record)
-            self._finalize_ok(engine, state, payload, record, outcomes)
-            return
-        record["error_class"] = payload.error_class
-        record["error_message"] = payload.error_message
-        state.attempts.append(record)
-        self._journal_failed_attempt(engine, state, record)
-        retryable = payload.error is not None and engine.policy.is_retryable(
-            payload.error
+        retryable = payload.error is not None and (
+            cell.engine.policy.is_retryable(payload.error)
         )
-        if retryable and len(state.attempts) < engine.policy.max_attempts:
-            pending.append(state.cell_id)
-            return
-        self._finalize_failed(
-            engine, state, outcomes,
-            error_class=payload.error_class,
-            error_message=payload.error_message,
-        )
-
-    def _crash_attempt(
-        self, engine, worker, kind, detail, states, pending, outcomes
-    ):
-        """The worker died (or was killed) with a cell in flight."""
-        request = worker.request
-        worker.request = None
-        if request is None or request.spec.cell_id not in states:
-            return
-        state = states[request.spec.cell_id]
-        error = WorkerCrashError(
-            kind, detail, worker_id=worker.worker_id, cell_id=state.cell_id
-        )
-        record = {
-            "seed": request.seed,
-            "max_cycles": request.max_cycles,
-            "status": "failed",
-            "error_class": type(error).__name__,
-            "error_message": str(error),
-            "wall_ms": int(1000 * (time.monotonic() - worker.dispatched_at)),
-        }
-        state.attempts.append(record)
-        state.crashes += 1
-        if state.crashes >= self.quarantine_crashes:
-            self.stats["cells_quarantined"] += 1
-            self._finalize_poisoned(engine, state, record, outcomes)
-            return
-        self._journal_failed_attempt(engine, state, record)
-        if len(state.attempts) < engine.policy.max_attempts:
-            pending.append(state.cell_id)
-            return
-        self._finalize_failed(
-            engine, state, outcomes,
-            error_class=record["error_class"],
-            error_message=record["error_message"],
-        )
-
-    def _journal_failed_attempt(self, engine, state, record):
-        """Journal a failed attempt immediately — a crash of the
-        *supervisor* right after must not lose it (the attempt index and
-        seed sequence are reconstructed from the journal on resume)."""
-        if engine.journal is None:
-            return
-        engine.journal.record(
-            state.cell_id,
-            {
-                "status": "failed",
-                "error_class": record.get("error_class"),
-                "error_message": record.get("error_message"),
-                "attempts": [record],
-            },
-        )
-
-    def _finalize_ok(self, engine, state, payload, record, outcomes):
-        result = CellResult(payload.metrics)
-        if engine.journal is not None:
-            engine.journal.record(
-                state.cell_id,
-                {
-                    "status": "ok",
-                    "attempts": [record],
-                    "cycles": result.cycles,
-                    "metrics": payload.metrics,
-                },
-            )
-        outcomes[state.cell_id] = CellOutcome(
-            state.cell_id, "ok", result=result, attempts=state.attempts
-        )
-
-    def _finalize_failed(
-        self, engine, state, outcomes, error_class, error_message
-    ):
-        # Individual failed attempts are already journaled; refresh the
-        # cell-level error fields to the final attempt's.
-        if engine.journal is not None:
-            engine.journal.record(
-                state.cell_id,
-                {
-                    "status": "failed",
-                    "error_class": error_class,
-                    "error_message": error_message,
-                    "attempts": [],
-                },
-            )
-        outcomes[state.cell_id] = CellOutcome(
-            state.cell_id,
-            "failed",
-            error_class=error_class,
-            error_message=error_message,
-            attempts=state.attempts,
-        )
-
-    def _finalize_poisoned(self, engine, state, record, outcomes):
-        message = (
-            f"quarantined after {state.crashes} worker crashes; "
-            f"last: {record['error_message']}"
-        )
-        if engine.journal is not None:
-            engine.journal.record(
-                state.cell_id,
-                {
-                    "status": "poisoned",
-                    "error_class": record["error_class"],
-                    "error_message": message,
-                    "attempts": [record],
-                },
-            )
-        outcomes[state.cell_id] = CellOutcome(
-            state.cell_id,
-            "poisoned",
-            error_class=record["error_class"],
-            error_message=message,
-            attempts=state.attempts,
+        return cell.failed(
+            payload.seed, payload.max_cycles, payload.wall_ms, payload.faults,
+            payload.error_class, payload.error_message, retryable,
         )

@@ -1,7 +1,7 @@
 """Worker-process side of the supervised parallel sweep executor.
 
-One worker is one long-lived child process of the
-:class:`~repro.reliability.supervisor.Supervisor`.  It receives
+One worker is one long-lived child process of a
+:class:`~repro.reliability.pool.LeasePool`.  It receives
 :class:`AttemptRequest` messages (one *attempt* of one experiment cell:
 a fully resolved seed and cycle budget) over its task pipe, runs the cell
 in-process, and ships an :class:`AttemptResult` back over its result pipe.
@@ -15,7 +15,7 @@ sweep.  Liveness is reported through a shared heartbeat array stamped
 from the kernel's heartbeat hook every
 :data:`~repro.sim.kernel.SimKernel.WATCHDOG_PERIOD` simulated cycles, so
 a worker that stops making simulated progress (wedged tick loop, blocked
-syscall) stops heartbeating and is hard-killed by the supervisor.
+syscall) stops heartbeating and is hard-killed by the pool.
 
 The heartbeat hook is also where the ``worker.kill`` fault site lives:
 a triggered spec SIGKILLs the worker mid-cell, which is how the test
@@ -87,7 +87,7 @@ class CellSpec:
 
 @dataclass(frozen=True)
 class AttemptRequest:
-    """One attempt of one cell, fully resolved by the supervisor."""
+    """One attempt of one cell, fully resolved by its caller."""
 
     spec: CellSpec
     attempt_index: int  # global index in the cell's seed-bump sequence
@@ -147,7 +147,7 @@ def run_attempt(request, worker_id=-1, heartbeats=None):
             heartbeats[worker_id] = time.monotonic()
         if injector is not None and injector.fire("worker.kill") is not None:
             # Simulated worker death: indistinguishable from a segfault or
-            # the OOM killer from the supervisor's point of view.
+            # the OOM killer from the pool's point of view.
             os.kill(os.getpid(), signal.SIGKILL)
 
     result = AttemptResult(
@@ -205,11 +205,11 @@ def worker_main(worker_id, task_conn, result_conn, heartbeats, max_rss=None):
     """Entry point of one pool worker process.
 
     Loops over attempt requests until it receives the ``None`` shutdown
-    sentinel or its pipes close (supervisor gone).  Exits via
+    sentinel or its pipes close (pool gone).  Exits via
     ``os._exit`` so a fork-started worker never runs the parent's atexit
     handlers or flushes its inherited stdio buffers.
     """
-    # The supervisor coordinates shutdown: a terminal Ctrl-C must reach
+    # The parent coordinates shutdown: a terminal Ctrl-C must reach
     # the parent (which drains) and not kill in-flight cells directly.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
@@ -220,7 +220,7 @@ def worker_main(worker_id, task_conn, result_conn, heartbeats, max_rss=None):
             # RLIMIT_AS bounds the address space, the closest enforceable
             # proxy for RSS: an allocation past the ceiling raises
             # MemoryError *inside* the cell, which the attempt loop
-            # contains.  The supervisor additionally polls true RSS.
+            # contains.  The pool additionally polls true RSS.
             resource.setrlimit(resource.RLIMIT_AS, (max_rss, max_rss))
         except (ImportError, ValueError, OSError):
             pass

@@ -9,7 +9,7 @@ Request lifecycle (see ``docs/SERVICE.md`` for the failure-mode table)::
               scheduler leases a pool worker when one frees up
                 -> ok            ► store.put, respond, wake coalesced waiters
                 -> worker crash  ► seed-bump retry with exponential backoff,
-                                   crash cap -> explicit failure
+                                   QUARANTINE_CRASHES -> explicit failure
                 -> retryable sim error ► seed-bump retry (engine policy)
                 -> deadline      ► explicit deadline failure (never a hang)
 
@@ -31,17 +31,14 @@ import time
 
 from ..errors import ConfigError, ReproError, WorkerCrashError
 from ..reliability.atomic_io import atomic_write_json
-from ..reliability.engine import RetryPolicy
+from ..reliability.engine import RetryPolicy, sanitizer_failure
 from ..reliability.pool import LeasePool
+from ..reliability.supervisor import QUARANTINE_CRASHES
 from .admission import AdmissionQueue
 from .envelope import JobRequest
 from .store import ResultStore
 
 __all__ = ["AnalysisService", "ServiceJournal", "serve"]
-
-#: Crashes of the *same request* after which it is failed outright
-#: (mirrors the batch supervisor's cell quarantine).
-CRASH_CAP = 2
 
 
 class ServiceJournal:
@@ -128,7 +125,6 @@ class AnalysisService:
         per_client_cap=None,
         lane_weights=None,
         policy=None,
-        crash_cap=CRASH_CAP,
         backoff_base_s=0.05,
         backoff_cap_s=2.0,
         default_deadline_s=None,
@@ -142,7 +138,6 @@ class AnalysisService:
             lane_weights=lane_weights,
             per_client_cap=per_client_cap,
         )
-        self.crash_cap = crash_cap
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self.default_deadline_s = default_deadline_s
@@ -383,7 +378,8 @@ class AnalysisService:
                 if error.kind == "deadline":
                     self.counters["deadline_failures"] += 1
                     return self._deadline_failure(request, str(error))
-                if crashes >= self.crash_cap:
+                # Same rule as the batch supervisor's cell quarantine.
+                if crashes >= QUARANTINE_CRASHES:
                     return self._response(
                         "failed", request,
                         error_class="WorkerCrashError",
@@ -398,22 +394,12 @@ class AnalysisService:
                 await asyncio.sleep(self._backoff(attempt))
                 continue
             if result.status == "ok":
-                violations = (
-                    result.sanitizer_report["violations"]
-                    if result.sanitizer_report
-                    else ()
-                )
-                if violations:
-                    first = violations[0]
+                violation = sanitizer_failure(result.sanitizer_report)
+                if violation is not None:
+                    error_class, _, summary = violation
                     return self._response(
                         "failed", request,
-                        error_class=first.get(
-                            "error_class", "InvariantViolation"
-                        ),
-                        error_message=(
-                            f"{len(violations)} invariant violation(s); "
-                            f"first: {first.get('message', '')}"
-                        ),
+                        error_class=error_class, error_message=summary,
                         attempts=attempt + 1,
                     )
                 if not request.nocache:

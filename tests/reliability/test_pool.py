@@ -198,6 +198,41 @@ class TestLeasing:
         with pytest.raises(PoolClosedError):
             queued.result(timeout=5)
 
+    def test_idle_pool_wakes_on_submit_and_close(self, pool, monkeypatch):
+        # The supervisor's wait is woken by submit() and close(), not
+        # by its poll timeout.
+        monkeypatch.setattr(repro.runner, "run_spec", _fake_ok)
+        p = pool(poll_interval=5.0)
+        time.sleep(0.2)  # let the supervisor settle into an idle wait
+        started = time.monotonic()
+        assert p.submit(_cell("mcf")).result(timeout=30).status == "ok"
+        assert time.monotonic() - started < 2.0
+        started = time.monotonic()
+        p.close()
+        assert time.monotonic() - started < 2.0
+
+    def test_cancel_withdraws_only_queued_leases(
+        self, pool, monkeypatch, tmp_path
+    ):
+        def marking_sim(app, config, seed=0, **kwargs):
+            (tmp_path / app).touch()
+            time.sleep(0.5)
+            return _FakeResult(seed)
+
+        monkeypatch.setattr(repro.runner, "run_spec", marking_sim)
+        p = pool(workers=1)
+        inflight = p.submit(_cell("mcf"))
+        queued = p.submit(_cell("hmmer"))
+        time.sleep(0.2)  # the first lease is on the worker by now
+        assert not inflight.cancel()
+        assert queued.cancel()
+        assert inflight.result(timeout=30).status == "ok"
+        # FIFO dispatch: a later lease completing proves the withdrawn
+        # one was skipped, not merely discarded after running.
+        assert p.submit(_cell("bzip2")).result(timeout=30).status == "ok"
+        assert not (tmp_path / "hmmer").exists()
+        assert p.stats["leases_completed"] == 2
+
     def test_snapshot_is_json_shaped(self, pool, monkeypatch):
         monkeypatch.setattr(repro.runner, "run_spec", _fake_ok)
         p = pool()
