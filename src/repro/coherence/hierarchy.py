@@ -66,6 +66,15 @@ _CATEGORY_BY_KIND = {
 #: Part of the L2 round trip charged before the directory/tag lookup.
 _L2_TAG_FRACTION = 0.5
 
+#: Directory outcomes served by a remote L1 owner and by the L2 bank.
+_REMOTE_OWNER_OUTCOMES = (
+    DirOutcome.SPEC_BOUNCE,
+    DirOutcome.SPEC_FORWARD,
+    DirOutcome.OWNER_FORWARD,
+    DirOutcome.OWNER_INVALIDATE,
+)
+_L2_HIT_OUTCOMES = (DirOutcome.L2_READ, DirOutcome.L2_STORE, DirOutcome.SPEC_L2_READ)
+
 
 class CacheHierarchy:
     """L1s + banked shared L2 + directory + NoC + DRAM (+ LLC-SBs)."""
@@ -114,6 +123,14 @@ class CacheHierarchy:
         self._l1_ports = [[0, 0] for _ in range(params.num_cores)]  # [cycle, used]
         self._bank_free = [0] * self.num_banks
         self._mem_node = 0
+        # Geometry and latencies asked per transaction, read once here.
+        self._line_bytes = self.space.line_bytes
+        self._num_nodes = params.network.num_nodes
+        self._l1_port_count = params.l1d.ports
+        self._l1_latency = params.l1d.round_trip_latency
+        self._l2_tag_latency = max(
+            1, int(params.l2_bank.round_trip_latency * _L2_TAG_FRACTION)
+        )
 
     # ------------------------------------------------------------------ wiring
 
@@ -127,24 +144,23 @@ class CacheHierarchy:
     # ------------------------------------------------------------- geometry
 
     def bank_of(self, line_addr):
-        return self.space.line_index(line_addr) % self.num_banks
+        return line_addr // self._line_bytes % self.num_banks
 
     def _bank_node(self, bank):
-        return bank % self.params.network.num_nodes
+        return bank % self._num_nodes
 
     def _core_node(self, core_id):
-        return core_id % self.params.network.num_nodes
+        return core_id % self._num_nodes
 
     # ------------------------------------------------------------- port model
 
     def _l1_slot(self, core_id, now):
         """First cycle >= now with a free L1 port for this core."""
         port = self._l1_ports[core_id]
-        if port[0] != now:
-            if port[0] < now:
-                port[0] = now
-                port[1] = 0
-        if port[1] < self.params.l1d.ports:
+        if port[0] < now:
+            port[0] = now
+            port[1] = 0
+        if port[1] < self._l1_port_count:
             port[1] += 1
             return port[0]
         port[0] += 1
@@ -183,10 +199,10 @@ class CacheHierarchy:
         self._process(req)
 
     def _process(self, req):
-        now = self.kernel.cycle
-        line = self.space.line_of(req.addr)
-        slot = self._l1_slot(req.core_id, now)
-        l1 = self.l1s[req.core_id]
+        core_id = req.core_id
+        line = req.addr - req.addr % self._line_bytes
+        slot = self._l1_slot(core_id, self.kernel.cycle)
+        l1 = self.l1s[core_id]
         kind = req.kind
         first_attempt = not req.accounted
         if first_attempt:
@@ -203,16 +219,15 @@ class CacheHierarchy:
             self._upgrade(req, line, slot)
             return
         if outcome is DirOutcome.L1_HIT:
+            ready = slot + self._l1_latency
             if kind is RequestKind.STORE:
                 entry.state = apply_l1_event(entry.state, L1Event.STORE_HIT)
-                self.dirs[self.bank_of(line)].set_owner(line, req.core_id)
-                self._note_line(line, "store_l1_hit", core_id=req.core_id)
-                ready = slot + self.params.l1d.round_trip_latency
+                self.dirs[self.bank_of(line)].set_owner(line, core_id)
+                self._note_line(line, "store_l1_hit", core_id=core_id)
                 self._finish_store(req, ready, "l1", _CATEGORY_BY_KIND[kind])
                 return
             l1.stat_hits += 1
             self.counters.bump(f"hierarchy.l1_hits.{kind.value}")
-            ready = slot + self.params.l1d.round_trip_latency
             self._complete_read(req, ready, "l1")
             return
 
@@ -290,34 +305,28 @@ class CacheHierarchy:
 
         arrive = slot + self.noc.send(core_node, bank_node, False, cat)
         t_bank = self._bank_slot(bank, arrive)
-        tag_lat = max(1, int(self.params.l2_bank.round_trip_latency * _L2_TAG_FRACTION))
-        t_dir = t_bank + tag_lat
+        t_dir = t_bank + self._l2_tag_latency
 
-        directory = self.dirs[bank]
-        dentry = directory.entry(line)
-        owner = dentry.owner if dentry else None
+        dentry = self.dirs[bank].entry(line)
+        if dentry is None:
+            remote_owner = wb_in_flight = False
+        else:
+            owner = dentry.owner
+            remote_owner = owner is not None and owner != req.core_id
+            wb_in_flight = dentry.writeback_in_flight(t_dir)
 
         outcome = route_request(
             kind,
             MESIState.INVALID,  # the local L1 already missed
-            owner is not None and owner != req.core_id,
+            remote_owner,
             self.l2[bank].contains(line),
-            dentry.writeback_in_flight(t_dir) if dentry is not None else False,
+            wb_in_flight,
         )
-        if outcome in (
-            DirOutcome.SPEC_BOUNCE,
-            DirOutcome.SPEC_FORWARD,
-            DirOutcome.OWNER_FORWARD,
-            DirOutcome.OWNER_INVALIDATE,
-        ):
+        if outcome in _REMOTE_OWNER_OUTCOMES:
             self._remote_owner_path(
                 req, line, slot, bank, dentry, t_dir, cat, outcome
             )
-        elif outcome in (
-            DirOutcome.L2_READ,
-            DirOutcome.L2_STORE,
-            DirOutcome.SPEC_L2_READ,
-        ):
+        elif outcome in _L2_HIT_OUTCOMES:
             self._l2_hit_path(req, line, bank, t_bank, cat)
         else:
             self._memory_path(req, line, bank, t_dir, cat)
@@ -346,7 +355,7 @@ class CacheHierarchy:
             return
 
         fwd_lat = self.noc.send(bank_node, owner_node, False, cat)
-        t_owner = t_dir + fwd_lat + self.params.l1d.round_trip_latency
+        t_owner = t_dir + fwd_lat + self._l1_latency
         data_lat = self.noc.send(owner_node, core_node, True, cat)
         ready = t_owner + data_lat
         self.counters.bump(f"hierarchy.remote_l1.{kind.value}")
@@ -712,7 +721,7 @@ class CacheHierarchy:
         self.kernel.schedule_at(ready, perform)
 
     def _release_own_mshr(self, req):
-        line = self.space.line_of(req.addr)
+        line = req.addr - req.addr % self._line_bytes
         mshr = self.mshrs[req.core_id]
         entry = mshr.lookup(line)
         if entry is not None and entry.allocator_seq == req.seq:

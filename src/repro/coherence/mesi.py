@@ -16,14 +16,8 @@ class MESIState(enum.Enum):
     SHARED = "S"
     INVALID = "I"
 
-    @property
-    def readable(self):
-        return self is not MESIState.INVALID
-
-    @property
-    def writable(self):
-        return self in (MESIState.MODIFIED, MESIState.EXCLUSIVE)
-
-    @property
-    def dirty(self):
-        return self is MESIState.MODIFIED
+    def __init__(self, value):
+        # Plain member attributes: every cache access asks these.
+        self.readable = value != "I"
+        self.writable = value in ("M", "E")
+        self.dirty = value == "M"

@@ -21,18 +21,10 @@ class RequestKind(enum.Enum):
     PREFETCH = "prefetch"
     SPEC_PREFETCH = "spec_prefetch"
 
-    @property
-    def invisible(self):
-        return self in (RequestKind.SPEC_LOAD, RequestKind.SPEC_PREFETCH)
-
-    @property
-    def visible_read(self):
-        return self in (
-            RequestKind.LOAD,
-            RequestKind.VALIDATE,
-            RequestKind.EXPOSE,
-            RequestKind.PREFETCH,
-        )
+    def __init__(self, value):
+        # Plain member attributes: the hierarchy asks these per transaction.
+        self.invisible = value in ("spec_load", "spec_prefetch")
+        self.visible_read = value in ("load", "validate", "expose", "prefetch")
 
 
 class MemRequest:

@@ -7,11 +7,16 @@ Speculative Buffer entry (the SB itself lives in
 increasing *virtual index*; ``index % capacity`` is the physical slot, so
 allocating, retiring from the head, and squashing from the tail are pointer
 moves — exactly the property the paper exploits for the SB design.
+
+The queues keep their live entries (virtual indices ``head..tail-1``) in
+one oldest-first list, so the program-order walks behind validations,
+exposures and forwarding start from a single C-level copy.
 """
 
 from __future__ import annotations
 
 from ..errors import SimulationError
+from .isa import OpKind
 
 #: LQ-entry State bits (Section VI-A1).
 STATE_EXPOSURE = "E"  # requires an exposure at the visibility point
@@ -29,6 +34,7 @@ class LoadQueueEntry:
     __slots__ = (
         "index",
         "rob",
+        "seq",
         "addr",
         "size",
         "line_addr",
@@ -50,13 +56,14 @@ class LoadQueueEntry:
     def __init__(self, index, rob_entry, epoch):
         self.index = index
         self.rob = rob_entry
+        self.seq = rob_entry.seq
         self.addr = None
         self.size = 0
         self.line_addr = None
         self.valid = True
         self.performed = False
         self.vstate = None  # one of the STATE_* constants once issued
-        self.prefetch = rob_entry.op.kind.value == "prefetch"
+        self.prefetch = rob_entry.op.kind is OpKind.PREFETCH
         self.issued = False
         self.visibility_issued = False
         self.visibility_done = False
@@ -66,10 +73,6 @@ class LoadQueueEntry:
         self.epoch = epoch
         self.issue_cycle = None
         self.visibility_issue_cycle = None
-
-    @property
-    def seq(self):
-        return self.rob.seq
 
     @property
     def needs_visibility_action(self):
@@ -90,75 +93,70 @@ class LoadQueueEntry:
 class StoreQueueEntry:
     """One in-flight store (pre-commit)."""
 
-    __slots__ = ("index", "rob", "addr", "size", "value", "addr_resolved")
+    __slots__ = ("index", "rob", "seq", "addr", "size", "value", "addr_resolved")
 
     def __init__(self, index, rob_entry):
         self.index = index
         self.rob = rob_entry
+        self.seq = rob_entry.seq
         self.addr = None
         self.size = 0
         self.value = 0
         self.addr_resolved = False
 
-    @property
-    def seq(self):
-        return self.rob.seq
-
 
 class _CircularQueue:
-    """Virtual-index circular queue shared by the LQ and SQ."""
+    """Virtual-index queue shared by the LQ and SQ.
+
+    ``_live[i]`` is the entry with virtual index ``head + i``: allocation
+    appends, retirement pops the front and a squash pops the back, so the
+    list order is always the virtual-index (program) order.
+    """
 
     def __init__(self, capacity, name):
         self.capacity = capacity
         self.name = name
         self.head = 0  # oldest live virtual index
         self.tail = 0  # next virtual index to allocate
-        self._slots = [None] * capacity
+        self._live = []
 
     def __len__(self):
         return self.tail - self.head
 
     @property
     def full(self):
-        return len(self) >= self.capacity
+        return self.tail - self.head >= self.capacity
 
     def slot(self, index):
         if not self.head <= index < self.tail:
             return None
-        entry = self._slots[index % self.capacity]
-        return entry
+        return self._live[index - self.head]
 
     def entries(self):
-        """Live entries oldest-first."""
-        for index in range(self.head, self.tail):
-            entry = self._slots[index % self.capacity]
-            if entry is not None:
-                yield entry
+        """Live entries oldest-first (a copy: callers may squash mid-walk)."""
+        return self._live[:]
 
     def _allocate_slot(self, entry):
-        if self.full:
+        if self.tail - self.head >= self.capacity:
             raise SimulationError(f"{self.name} overflow; caller must check full")
-        self._slots[self.tail % self.capacity] = entry
+        self._live.append(entry)
         self.tail += 1
 
     def retire_head(self):
-        if not len(self):
+        if self.tail == self.head:
             raise SimulationError(f"retiring from empty {self.name}")
-        entry = self._slots[self.head % self.capacity]
-        self._slots[self.head % self.capacity] = None
         self.head += 1
-        return entry
+        return self._live.pop(0)
 
     def squash_to(self, new_tail):
-        """Drop entries with virtual index >= ``new_tail``; returns them."""
-        dropped = []
-        while self.tail > max(new_tail, self.head):
-            self.tail -= 1
-            slot = self.tail % self.capacity
-            entry = self._slots[slot]
-            if entry is not None:
-                dropped.append(entry)
-            self._slots[slot] = None
+        """Drop entries with virtual index >= ``new_tail``; returns them,
+        youngest first."""
+        keep = max(new_tail, self.head) - self.head
+        live = self._live
+        dropped = live[keep:]
+        dropped.reverse()
+        del live[keep:]
+        self.tail = self.head + len(live)
         return dropped
 
 
@@ -176,7 +174,7 @@ class LoadQueue(_CircularQueue):
 
     def loads_to_line(self, line_addr):
         """Live entries whose resolved address maps to ``line_addr``."""
-        return [e for e in self.entries() if e.line_addr == line_addr]
+        return [e for e in self._live if e.line_addr == line_addr]
 
     def older_pending_request(self, entry, line_addr):
         """Youngest *earlier* (program order) USL to the same line whose
@@ -184,8 +182,9 @@ class LoadQueue(_CircularQueue):
         Section V-E.  Never returns a younger load (Section VII), and never
         a deferred/normal load, which does not fill the SB."""
         best = None
-        for other in self.entries():
-            if other.index >= entry.index:
+        index = entry.index
+        for other in self._live:
+            if other.index >= index:
                 break
             if (
                 other.valid
@@ -211,12 +210,15 @@ class StoreQueue(_CircularQueue):
     def forwarding_store(self, load_seq, addr, size):
         """Youngest older store that fully covers [addr, addr+size)."""
         best = None
-        for entry in self.entries():
+        end = addr + size
+        for entry in self._live:
             if entry.seq >= load_seq:
                 break
-            if not entry.addr_resolved:
-                continue
-            if entry.addr <= addr and addr + size <= entry.addr + entry.size:
+            if (
+                entry.addr_resolved
+                and entry.addr <= addr
+                and end <= entry.addr + entry.size
+            ):
                 best = entry
         return best
 
@@ -227,7 +229,7 @@ class StoreQueue(_CircularQueue):
         speculation) and squashes on a later alias — the Speculative Store
         Bypass surface of Section IV.
         """
-        for entry in self.entries():
+        for entry in self._live:
             if entry.seq >= load_seq:
                 break
             if not entry.addr_resolved:

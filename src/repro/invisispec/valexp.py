@@ -43,6 +43,8 @@ class VisibilityEngine:
     def tick(self):
         """Issue eligible validations/exposures, oldest first."""
         core = self.core
+        policy = core.policy
+        blocks_overlap = policy.validation_blocks_overlap
         for entry in core.lq.entries():
             if not entry.valid:
                 continue
@@ -54,7 +56,7 @@ class VisibilityEngine:
             if state in (STATE_COMPLETE, STATE_NORMAL, STATE_DEFERRED):
                 continue
             if entry.visibility_issued:
-                if entry.validation_inflight and core.policy.validation_blocks_overlap:
+                if entry.validation_inflight and blocks_overlap:
                     return  # IS-Future: nothing may pass an in-flight validation
                 continue
             # Not yet issued: must wait for the initial Spec-GetS response,
@@ -62,10 +64,10 @@ class VisibilityEngine:
             # so the first blocked entry stops the scan.
             if not entry.performed:
                 return
-            if not core.policy.visible_now(core, entry):
+            if not policy.visible_now(core, entry):
                 return
             self._issue(entry)
-            if entry.vstate == STATE_VALIDATION and core.policy.validation_blocks_overlap:
+            if entry.vstate == STATE_VALIDATION and blocks_overlap:
                 return
 
     def _issue(self, entry):

@@ -17,46 +17,83 @@ from ..errors import SimulationError
 
 
 class MemoryImage:
-    """Sparse byte-addressable memory with per-line version counters."""
+    """Sparse memory: one ``bytearray`` per touched line, plus per-line
+    version counters.  Untouched bytes read as zero."""
 
     def __init__(self, address_space):
         self.space = address_space
-        self._bytes = {}  # addr -> int in [0, 255]
+        self._line_bytes = address_space.line_bytes
+        self._lines = {}  # line_addr -> bytearray(line_bytes)
         self._versions = {}  # line_addr -> int
         self.stat_reads = 0
         self.stat_writes = 0
 
+    def _get(self, addr, size):
+        """The ``size`` bytes at ``addr``; one slice unless they straddle
+        a line boundary."""
+        line_bytes = self._line_bytes
+        offset = addr & (line_bytes - 1)
+        base = addr - offset
+        if offset + size <= line_bytes:
+            line = self._lines.get(base)
+            return bytes(size) if line is None else line[offset:offset + size]
+        parts = []
+        while size > 0:
+            chunk = min(size, line_bytes - offset)
+            line = self._lines.get(base)
+            parts.append(bytes(chunk) if line is None else line[offset:offset + chunk])
+            size -= chunk
+            base += line_bytes
+            offset = 0
+        return b"".join(parts)
+
+    def _put(self, addr, data):
+        line_bytes = self._line_bytes
+        lines = self._lines
+        offset = addr & (line_bytes - 1)
+        base = addr - offset
+        pos = 0
+        while pos < len(data):
+            chunk = min(len(data) - pos, line_bytes - offset)
+            line = lines.get(base)
+            if line is None:
+                line = lines[base] = bytearray(line_bytes)
+            line[offset:offset + chunk] = data[pos:pos + chunk]
+            pos += chunk
+            base += line_bytes
+            offset = 0
+
+    def _bump_versions(self, addr, size):
+        versions = self._versions
+        for line in self.space.lines_touched(addr, size):
+            versions[line] = versions.get(line, 0) + 1
+
     def read_byte(self, addr):
-        return self._bytes.get(addr, 0)
+        return self._get(addr, 1)[0]
 
     def read(self, addr, size):
         """Read ``size`` bytes little-endian as an unsigned integer."""
         self.stat_reads += 1
-        value = 0
-        for i in range(size):
-            value |= self._bytes.get(addr + i, 0) << (8 * i)
-        return value
+        return int.from_bytes(self._get(addr, size), "little")
 
     def read_bytes(self, addr, size):
         """Read ``size`` bytes as a tuple (used by validation comparison)."""
-        return tuple(self._bytes.get(addr + i, 0) for i in range(size))
+        return tuple(self._get(addr, size))
 
     def write(self, addr, size, value):
         """Write ``size`` bytes little-endian; bumps the line version(s)."""
         if value < 0:
             raise SimulationError(f"negative store value {value}")
         self.stat_writes += 1
-        for i in range(size):
-            self._bytes[addr + i] = (value >> (8 * i)) & 0xFF
-        for line in self.space.lines_touched(addr, size):
-            self._versions[line] = self._versions.get(line, 0) + 1
+        mask = (1 << (8 * size)) - 1
+        self._put(addr, (value & mask).to_bytes(size, "little"))
+        self._bump_versions(addr, size)
 
     def write_bytes(self, addr, data):
         """Write an iterable of byte values starting at ``addr``."""
-        for i, byte in enumerate(data):
-            self._bytes[addr + i] = byte & 0xFF
-        for line in self.space.lines_touched(addr, max(len(data), 1)):
-            self._versions[line] = self._versions.get(line, 0) + 1
+        data = bytes(byte & 0xFF for byte in data)
+        self._put(addr, data)
+        self._bump_versions(addr, max(len(data), 1))
         self.stat_writes += 1
 
     def line_version(self, line_addr):
@@ -64,8 +101,8 @@ class MemoryImage:
 
     def snapshot(self, addr, size):
         """Capture ``(bytes, line_version)`` for a speculative read."""
-        line = self.space.line_of(addr)
-        return self.read_bytes(addr, size), self.line_version(line)
+        line = addr - (addr & (self._line_bytes - 1))
+        return tuple(self._get(addr, size)), self._versions.get(line, 0)
 
     def matches(self, addr, size, snapshot_bytes):
         """Value-based comparison used by InvisiSpec validation."""

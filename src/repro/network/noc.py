@@ -31,6 +31,9 @@ class NoC:
     def __init__(self, params, faults=None):
         self.params = params
         self.topology = MeshTopology(params.mesh_cols, params.mesh_rows)
+        nodes = range(self.topology.num_nodes)
+        #: ``_hops[src][dst]``: X-Y hop count, tabulated once per mesh.
+        self._hops = [[self.topology.hops(s, d) for d in nodes] for s in nodes]
         self.hop_latency = params.hop_latency
         self.control_bytes = params.control_message_bytes
         self.data_bytes = params.data_message_bytes
@@ -45,7 +48,7 @@ class NoC:
 
     def delay(self, src_node, dst_node):
         """One-way latency in cycles between two mesh nodes."""
-        return self.topology.hops(src_node, dst_node) * self.hop_latency
+        return self._hops[src_node][dst_node] * self.hop_latency
 
     def round_trip(self, src_node, dst_node):
         return 2 * self.delay(src_node, dst_node)
@@ -53,7 +56,7 @@ class NoC:
     def send(self, src_node, dst_node, is_data, category):
         """Account one message; returns its one-way latency in cycles."""
         size = self.data_bytes if is_data else self.control_bytes
-        hops = self.topology.hops(src_node, dst_node)
+        hops = self._hops[src_node][dst_node]
         self.bytes_by_category[category] += size
         self.byte_hops += size * hops
         self.messages += 1

@@ -28,7 +28,11 @@ Supervision, per worker (one thread, woken by results, worker deaths,
   with a retryable ``SimTimeoutError``) and additionally enforced
   pool-side with a grace period, so a lease can never hang its caller;
 * **death** — a worker that exits or is killed is detected via its
-  sentinel, its in-flight lease fails, and a fresh worker replaces it.
+  sentinel, a fresh worker replaces it, and then its in-flight lease
+  fails (heartbeat, RSS and deadline kills replace the worker the same
+  way, before failing the lease).  Workers in turn watch the pool: one
+  whose parent has died exits (see
+  :func:`~repro.reliability.worker.worker_main`).
   Worker handles are **released eagerly** — pipes and process handles
   are closed the moment a worker is reaped, never left to
   garbage-collector timing (see ``_Worker.release``), because a serving
@@ -294,21 +298,6 @@ class LeasePool:
             self._wake()
         return future
 
-    @property
-    def backlog(self):
-        with self._lock:
-            return len(self._queue)
-
-    @property
-    def busy(self):
-        with self._lock:
-            return len(self._inflight)
-
-    @property
-    def idle(self):
-        with self._lock:
-            return max(0, len(self._pool) - len(self._inflight))
-
     def snapshot(self):
         """JSON-serializable pool state for ``/healthz``."""
         with self._lock:
@@ -348,8 +337,8 @@ class LeasePool:
         process = self._ctx.Process(
             target=worker_main,
             args=(
-                worker_id, task_recv, result_send, self._heartbeats,
-                self.max_rss,
+                worker_id, os.getpid(), task_recv, result_send,
+                self._heartbeats, self.max_rss,
             ),
             name=f"lease-worker-{worker_id}",
             daemon=True,
@@ -360,6 +349,21 @@ class LeasePool:
         self.stats["workers_spawned"] += 1
         self._heartbeats[worker_id] = time.monotonic()
         return _Worker(worker_id, process, task_send, result_recv)
+
+    def _replace(self, worker):
+        """Kill and release ``worker`` and, unless the pool is closing, put
+        a fresh worker in its slot.  Called before the worker's lease is
+        failed, so a caller that hears of the failure finds the pool
+        already whole."""
+        self._kill(worker)
+        worker.release()
+        with self._lock:
+            if self._closing:
+                return
+            for index, current in enumerate(self._pool):
+                if current is worker:
+                    self._pool[index] = self._spawn(worker.worker_id)
+                    return
 
     def _kill(self, worker):
         try:
@@ -483,7 +487,7 @@ class LeasePool:
     def _reap(self):
         with self._lock:
             pool = list(self._pool)
-        for index, worker in enumerate(pool):
+        for worker in pool:
             if worker.released or worker.process.is_alive():
                 continue
             # The worker may have completed its lease and died after —
@@ -495,17 +499,7 @@ class LeasePool:
             )
             with self._lock:
                 lease = self._inflight.pop(worker.worker_id, None)
-            self._kill(worker)
-            worker.release()
-            # Replace the worker before failing its lease, so a caller
-            # that hears of the crash finds the pool already whole.
-            with self._lock:
-                if (
-                    not self._closing
-                    and index < len(self._pool)
-                    and self._pool[index] is worker
-                ):
-                    self._pool[index] = self._spawn(worker.worker_id)
+            self._replace(worker)
             if lease is not None:
                 self.stats["workers_crashed"] += 1
                 self._fail(
@@ -568,7 +562,7 @@ class LeasePool:
             self.stats["workers_crashed"] += 1
             with self._lock:
                 self._inflight.pop(worker.worker_id, None)
-            self._kill(worker)
+            self._replace(worker)
             self._fail(
                 lease,
                 WorkerCrashError(
@@ -576,4 +570,3 @@ class LeasePool:
                     cell_id=lease.request.spec.cell_id,
                 ),
             )
-            # _reap releases the handle and respawns on the next pass.

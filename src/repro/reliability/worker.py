@@ -201,13 +201,26 @@ def run_attempt(request, worker_id=-1, heartbeats=None):
     return result
 
 
-def worker_main(worker_id, task_conn, result_conn, heartbeats, max_rss=None):
+#: Seconds an idle worker waits for a request between checks that its
+#: pool process is still alive.
+PARENT_CHECK_S = 0.5
+
+
+def worker_main(
+    worker_id, pool_pid, task_conn, result_conn, heartbeats, max_rss=None
+):
     """Entry point of one pool worker process.
 
     Loops over attempt requests until it receives the ``None`` shutdown
-    sentinel or its pipes close (pool gone).  Exits via
-    ``os._exit`` so a fork-started worker never runs the parent's atexit
-    handlers or flushes its inherited stdio buffers.
+    sentinel, its pipes close, or its pool process (``pool_pid``) dies.
+    A SIGKILLed pool closes nothing: fork-started siblings hold inherited
+    copies of each other's pipe ends, so no EOF ever arrives.  An idle
+    worker therefore polls its task pipe and exits once ``os.getppid()``
+    is no longer ``pool_pid`` (it has been re-parented).  The pid comes
+    from the pool, not from ``os.getppid()`` at start-up, because the
+    pool may already be dead by then.  Exits via ``os._exit`` so a
+    fork-started worker never runs the parent's atexit handlers or
+    flushes its inherited stdio buffers.
     """
     # The parent coordinates shutdown: a terminal Ctrl-C must reach
     # the parent (which drains) and not kill in-flight cells directly.
@@ -228,6 +241,9 @@ def worker_main(worker_id, task_conn, result_conn, heartbeats, max_rss=None):
     try:
         while True:
             try:
+                while not task_conn.poll(PARENT_CHECK_S):
+                    if os.getppid() != pool_pid:
+                        raise EOFError("pool process died")
                 request = task_conn.recv()
             except (EOFError, OSError):
                 exit_code = 1

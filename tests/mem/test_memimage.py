@@ -45,6 +45,33 @@ class TestMemoryImage:
         assert image.line_version(0x1000) == 1
         assert image.line_version(0x1040) == 1
 
+    def test_straddling_write_reads_back_across_lines(self):
+        image = make_image()
+        image.write(0x103C, 8, 0x8877665544332211)
+        assert image.read(0x103C, 8) == 0x8877665544332211
+        assert image.read_byte(0x103F) == 0x44  # last byte of line 0x1000
+        assert image.read_byte(0x1040) == 0x55  # first byte of line 0x1040
+        assert image.read_bytes(0x103E, 4) == (0x33, 0x44, 0x55, 0x66)
+        assert image.read(0x1040, 4) == 0x88776655
+
+    def test_straddling_write_bytes(self):
+        image = make_image()
+        image.write_bytes(0x107E, [1, 2, 3, 0x1FF])
+        assert image.read_bytes(0x107E, 4) == (1, 2, 3, 0xFF)
+        assert image.line_version(0x1040) == 1
+        assert image.line_version(0x1080) == 1
+
+    def test_untouched_bytes_read_zero(self):
+        image = make_image()
+        image.write(0x2004, 2, 0xBEEF)
+        line = image.read_bytes(0x2000, 64)
+        assert line[4:6] == (0xEF, 0xBE)
+        assert line[:4] == (0,) * 4 and line[6:] == (0,) * 58
+        # A read straddling into a never-written line.
+        assert image.read_bytes(0x203E, 4) == (0, 0, 0, 0)
+        assert image.read(0x2005, 8) == 0xBE
+        assert image.line_version(0x2040) == 0
+
     def test_snapshot_captures_bytes_and_version(self):
         image = make_image()
         image.write(0x3000, 8, 0xDEADBEEF)

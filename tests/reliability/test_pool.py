@@ -8,6 +8,8 @@ patch into real worker processes.
 import gc
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -233,6 +235,23 @@ class TestLeasing:
         assert not (tmp_path / "hmmer").exists()
         assert p.stats["leases_completed"] == 2
 
+    def test_enforce_kill_respawns_before_failing_lease(
+        self, pool, monkeypatch
+    ):
+        # Like a death found by _reap, a heartbeat kill puts the fresh
+        # worker in place before the lease's caller hears of the failure.
+        monkeypatch.setattr(repro.runner, "run_spec", _stall)
+        p = pool(workers=1, heartbeat_timeout=0.4)
+        future = p.submit(_cell("mcf"))
+        spawned_at_failure = []
+        future.add_done_callback(
+            lambda f: spawned_at_failure.append(p.stats["workers_spawned"])
+        )
+        with pytest.raises(WorkerCrashError) as err:
+            future.result(timeout=30)
+        assert err.value.kind == "heartbeat"
+        assert spawned_at_failure == [2]
+
     def test_snapshot_is_json_shaped(self, pool, monkeypatch):
         monkeypatch.setattr(repro.runner, "run_spec", _fake_ok)
         p = pool()
@@ -298,3 +317,52 @@ class TestFdHygiene:
         assert after <= before + 2, (
             f"fd table grew from {before} to {after} across 20 crashes"
         )
+
+
+_ORPHAN_PARENT = """
+import multiprocessing, sys, time
+from repro.reliability import LeasePool
+pool = LeasePool(workers=2).start()
+print(*(child.pid for child in multiprocessing.active_children()), flush=True)
+time.sleep(120)
+"""
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+class TestOrphans:
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self"), reason="needs /proc"
+    )
+    def test_workers_exit_after_pool_process_is_killed(self):
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_PARENT],
+            stdout=subprocess.PIPE, text=True,
+        )
+        pids = []
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(pids) == 2 and all(_running(pid) for pid in pids)
+            parent.kill()
+            parent.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and any(map(_running, pids)):
+                time.sleep(0.05)
+            assert not [pid for pid in pids if _running(pid)], (
+                "pool workers outlived their SIGKILLed pool process"
+            )
+        finally:
+            parent.kill()
+            parent.stdout.close()
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass

@@ -61,28 +61,48 @@ class TestCacheArrayProperties:
 class TestQueueProperties:
     @settings(max_examples=50, deadline=None)
     @given(
+        st.sampled_from(["LQ", "SQ"]),
         st.lists(
             st.sampled_from(["alloc", "retire", "squash"]), max_size=60
         ),
         st.randoms(use_true_random=False),
     )
-    def test_lq_pointer_discipline(self, actions, rng):
-        lq = LoadQueue(4)
+    def test_lq_pointer_discipline(self, queue_kind, actions, rng):
+        """Both queues keep their live entries in virtual-index order: the
+        maintained list matches a slot-by-slot scan of ``head..tail`` and
+        an independent model of allocations, retirements and squashes."""
+        if queue_kind == "LQ":
+            queue, kind = LoadQueue(4), OpKind.LOAD
+        else:
+            queue, kind = StoreQueue(4), OpKind.STORE
+        model = []  # live entries, oldest first
         seq = 0
         for action in actions:
-            if action == "alloc" and not lq.full:
-                entry = ROBEntry(MicroOp(OpKind.LOAD), seq, seq, False, 0)
-                lq.allocate(entry, epoch=0)
+            if action == "alloc" and not queue.full:
+                entry = ROBEntry(MicroOp(kind), seq, seq, False, 0)
+                if queue_kind == "LQ":
+                    model.append(queue.allocate(entry, epoch=0))
+                else:
+                    model.append(queue.allocate(entry))
                 seq += 1
-            elif action == "retire" and len(lq):
-                lq.retire_head()
-            elif action == "squash" and len(lq):
-                target = rng.randrange(lq.head, lq.tail + 1)
-                lq.squash_to(target)
-            assert 0 <= len(lq) <= 4
-            assert lq.head <= lq.tail
-            live = list(lq.entries())
-            assert [e.index for e in live] == sorted(e.index for e in live)
+            elif action == "retire" and len(queue):
+                assert queue.retire_head() is model.pop(0)
+            elif action == "squash" and len(queue):
+                target = rng.randrange(queue.head, queue.tail + 1)
+                dropped = queue.squash_to(target)
+                assert [e.index for e in dropped] == sorted(
+                    (e.index for e in model if e.index >= target), reverse=True
+                )
+                model = [e for e in model if e.index < target]
+            assert 0 <= len(queue) <= 4
+            assert queue.head <= queue.tail
+            live = queue.entries()
+            scan = [queue.slot(i) for i in range(queue.head, queue.tail)]
+            assert live == scan == model
+            assert len(live) == len(queue)
+            assert [e.index for e in live] == list(range(queue.head, queue.tail))
+            assert queue.slot(queue.tail) is None
+            assert queue.slot(queue.head - 1) is None
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1, max_value=8))
